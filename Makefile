@@ -63,7 +63,8 @@ calibrate:
 		-calibrate-go internal/lrd/calibration_table.go
 
 # Pinned benchmark subset as a committed/CI JSON snapshot: the three
-# fGn generators plus the paper-scale Auto-policy cold generation, the
+# fGn generators plus the paper-scale Auto-policy cold generation and the
+# per-chunk Paxson / Davies–Harte synthesis a stream runs, the
 # fluid queue, the end-to-end Fig 14 sweep, the generation-cache
 # cold/warm/batch trio, the estimator battery (batch MAVAR, the
 # streaming per-observation update, the full EstimateAll bundle), and
@@ -71,7 +72,7 @@ calibrate:
 # goes through an intermediate file so a benchmark failure fails the
 # target rather than feeding benchjson an empty stream.
 bench-json:
-	$(GO) test -run '^$$' -bench 'Ablation_Hosking10k$$|Ablation_DaviesHarte10k$$|Paxson10k$$|Paxson171k$$|Ablation_QueueFluid$$|Fig14_QCCurves$$|ColdGenerate$$|WarmGenerate$$|BatchGenerate$$|MAVAR$$|OnlineMAVARAdd$$|EstimateAll$$|SourceNext$$' -benchmem -count=3 . > bench.out
+	$(GO) test -run '^$$' -bench 'Ablation_Hosking10k$$|Ablation_DaviesHarte10k$$|Paxson10k$$|Paxson171k$$|PaxsonChunk5120$$|DaviesHarteChunk5120$$|Ablation_QueueFluid$$|Fig14_QCCurves$$|ColdGenerate$$|WarmGenerate$$|BatchGenerate$$|MAVAR$$|OnlineMAVARAdd$$|EstimateAll$$|SourceNext$$' -benchmem -count=3 . > bench.out
 	@out="$(BENCH_OUT)"; \
 	if [ -z "$$out" ]; then i=0; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; out=BENCH_$$i.json; fi; \
 	$(GO) run ./cmd/benchjson -o "$$out" bench.out && echo "wrote $$out"

@@ -284,6 +284,46 @@ func BenchmarkPaxson171k(b *testing.B) {
 	}
 }
 
+// streamChunk is the length of one stream chunk at the stream.Config
+// defaults: a 4096-frame block plus its 1024-frame overlap.
+const streamChunk = 4096 + 4096/4
+
+// Per-chunk synthesis as a stream runs it: the seed-independent vector
+// comes from the pool (computed once here), so each iteration is the
+// seed-dependent draw plus one inverse FFT at the chunk length — a
+// Bluestein transform, since 5120 is not a power of two.
+func BenchmarkPaxsonChunk5120(b *testing.B) {
+	ctx := context.Background()
+	p, err := fgn.PaxsonSpectrumCtx(ctx, streamChunk, 0.8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(1, 1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fgn.PaxsonFromSpectrumCtx(ctx, streamChunk, p, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The Davies–Harte counterpart: cached eigenvalues, then the
+// randomized spectrum and one 10240-point (Bluestein) FFT per chunk.
+func BenchmarkDaviesHarteChunk5120(b *testing.B) {
+	ctx := context.Background()
+	lambda, err := fgn.DaviesHarteEigenCtx(ctx, streamChunk, 0.8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(1, 1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fgn.DaviesHarteFromEigenCtx(ctx, streamChunk, lambda, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Direct O(n·lag) autocorrelation vs the FFT path.
 func BenchmarkAblation_ACFDirect(b *testing.B) {
 	s := suite(b)

@@ -7,12 +7,23 @@
 // Inputs whose length is not a power of two are handled by Bluestein's
 // chirp-z algorithm so that exact-length transforms of arbitrary series
 // (171,000 frames in the paper) are available without padding artifacts.
+//
+// Everything a transform computes that depends only on its length and
+// direction — the bit-reversal transpositions and per-stage twiddles of
+// the radix-2 path, the chirp and transformed convolution kernel of the
+// Bluestein path — is built once into a plan and reused by later calls.
+// Plans are cached up to a fixed byte cap (planCacheBytes, least
+// recently used evicted first); a longer transform builds its plan
+// through the same builder and drops it after the call. A plan performs
+// the same floating-point operations on the same operands as a transform
+// that computes its bit reversal and twiddle recurrence inline, so
+// cached, evicted and uncached calls all return bitwise-identical
+// output. The cache is safe for concurrent use.
 package fft
 
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 )
 
 // Forward computes the in-order forward DFT of x and returns a new slice.
@@ -21,7 +32,7 @@ import (
 func Forward(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
 	copy(out, x)
-	transform(out, false)
+	plans.transform(out, false)
 	return out
 }
 
@@ -29,115 +40,8 @@ func Forward(x []complex128) []complex128 {
 func Inverse(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
 	copy(out, x)
-	transform(out, true)
+	plans.transform(out, true)
 	return out
-}
-
-// transform dispatches on length and direction, operating in place.
-func transform(x []complex128, inverse bool) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	if n&(n-1) == 0 {
-		radix2(x, inverse)
-	} else {
-		bluestein(x, inverse)
-	}
-	if inverse {
-		inv := complex(1/float64(n), 0)
-		for i := range x {
-			x[i] *= inv
-		}
-	}
-}
-
-// radix2 is the classic iterative Cooley–Tukey FFT for power-of-two n.
-// The inverse flag flips the twiddle sign; normalization is the caller's.
-func radix2(x []complex128, inverse bool) {
-	n := len(x)
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j ^= bit
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := sign * 2 * math.Pi / float64(length)
-		wl := cmplx.Exp(complex(0, ang))
-		for start := 0; start < n; start += length {
-			w := complex(1, 0)
-			half := length >> 1
-			for k := 0; k < half; k++ {
-				u := x[start+k]
-				v := x[start+k+half] * w
-				x[start+k] = u + v
-				x[start+k+half] = u - v
-				w *= wl
-			}
-		}
-	}
-}
-
-// bluestein computes an arbitrary-length DFT as a convolution, which is in
-// turn evaluated with power-of-two FFTs.
-func bluestein(x []complex128, inverse bool) {
-	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp factors w[k] = exp(sign * iπ k² / n). k² mod 2n avoids overflow
-	// and precision loss for large k.
-	w := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		kk := int64(k) * int64(k) % int64(2*n)
-		w[k] = cmplx.Exp(complex(0, sign*math.Pi*float64(kk)/float64(n)))
-	}
-
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * w[k]
-		b[k] = cmplx.Conj(w[k])
-	}
-	for k := 1; k < n; k++ {
-		b[m-k] = cmplx.Conj(w[k])
-	}
-	radix2(a, false)
-	radix2(b, false)
-	for i := range a {
-		a[i] *= b[i]
-	}
-	radix2(a, true)
-	invm := complex(1/float64(m), 0)
-	for k := 0; k < n; k++ {
-		x[k] = a[k] * invm * w[k]
-	}
-}
-
-// ForwardReal computes the DFT of a real-valued series, returning the full
-// complex spectrum of length len(x).
-func ForwardReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	transform(c, false)
-	return c
 }
 
 // Periodogram returns the ordinates I(λ_j) of the periodogram of x at the
@@ -162,7 +66,7 @@ func Periodogram(x []float64) (freqs, ords []float64) {
 	for i, v := range x {
 		c[i] = complex(v-mean, 0)
 	}
-	transform(c, false)
+	plans.transform(c, false)
 
 	half := (n - 1) / 2
 	freqs = make([]float64, half)
@@ -202,12 +106,12 @@ func Autocorrelation(x []float64, maxLag int) ([]float64, error) {
 	for i, v := range x {
 		c[i] = complex(v-mean, 0)
 	}
-	transform(c, false)
+	plans.transform(c, false)
 	for i := range c {
 		re, im := real(c[i]), imag(c[i])
 		c[i] = complex(re*re+im*im, 0)
 	}
-	transform(c, true)
+	plans.transform(c, true)
 
 	r := make([]float64, maxLag+1)
 	c0 := real(c[0])

@@ -126,21 +126,6 @@ func TestForwardLinearityProperty(t *testing.T) {
 	}
 }
 
-func TestForwardRealMatchesComplex(t *testing.T) {
-	rng := rand.New(rand.NewPCG(12, 13))
-	x := make([]float64, 100)
-	c := make([]complex128, 100)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		c[i] = complex(x[i], 0)
-	}
-	a := ForwardReal(x)
-	b := Forward(c)
-	if e := maxErr(a, b); e > 1e-10 {
-		t.Errorf("ForwardReal differs from Forward: %v", e)
-	}
-}
-
 func TestPeriodogramSinusoid(t *testing.T) {
 	// A pure sinusoid at Fourier frequency j0 concentrates all power there.
 	const n = 1024
@@ -194,11 +179,11 @@ func TestPeriodogramTotalPower(t *testing.T) {
 	// For even n the Nyquist ordinate j=n/2 is excluded by our convention;
 	// account for it: total = Σ_{j=1}^{n-1} |F_j|² / (2πn) where F is the
 	// DFT of the demeaned series; by conjugate symmetry = 2·sum + Nyquist.
-	d := make([]float64, n)
+	d := make([]complex128, n)
 	for i, v := range x {
-		d[i] = v - mean
+		d[i] = complex(v-mean, 0)
 	}
-	f := ForwardReal(d)
+	f := Forward(d)
 	nyq := 0.0
 	if n%2 == 0 {
 		re, im := real(f[n/2]), imag(f[n/2])

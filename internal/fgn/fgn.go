@@ -411,14 +411,10 @@ func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) ([]float64, erro
 	}
 	m := 2 * n
 	row := make([]complex128, m)
-	for k := 0; k <= n; k++ {
-		if k < n {
-			row[k] = complex(rho[k], 0)
-		} else {
-			row[n] = complex(rho[n-1], 0) // γ_n ≈ γ_{n-1}; exact embedding uses γ_n
-		}
+	for k := 0; k < n; k++ {
+		row[k] = complex(rho[k], 0)
 	}
-	// Use the exact γ_n value.
+	// γ_n, from the closed form.
 	h2 := 2 * h
 	gn := 0.5 * (math.Pow(float64(n)+1, h2) - 2*math.Pow(float64(n), h2) + math.Pow(float64(n)-1, h2))
 	row[n] = complex(gn, 0)

@@ -189,6 +189,20 @@ func TestDaviesHarteEmpiricalACFMatchesTarget(t *testing.T) {
 	approx(t, "variance", v, 1, 0.15)
 }
 
+// TestDaviesHarteGoldenChunk pins the Davies–Harte sampler at the
+// stream's default chunk: n = 5120 embeds into a 10240-point circulant, so both the eigenvalue
+// FFT and the synthesis FFT take the Bluestein path. The hash was
+// captured before FFT plans were cached and must never be regenerated.
+func TestDaviesHarteGoldenChunk(t *testing.T) {
+	x, err := DaviesHarte(5120, 0.8, rand.New(rand.NewPCG(7, 9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fnvHash(x), uint64(0xe066575d5257c9c0); got != want {
+		t.Errorf("series hash = %#x, want golden %#x", got, want)
+	}
+}
+
 func TestDaviesHarteLengthOne(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	x, err := DaviesHarte(1, 0.8, rng)

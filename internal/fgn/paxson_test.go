@@ -114,6 +114,21 @@ func TestPaxsonGolden(t *testing.T) {
 	}
 }
 
+// TestPaxsonGoldenChunk pins the sampler at n = 5120, the stream's
+// default chunk (block plus overlap). Unlike TestPaxsonGolden's 4096,
+// 5120 is not a power of two, so this pin covers the Bluestein FFT
+// path every served Paxson chunk takes. The hash was captured before
+// FFT plans were cached and must never be regenerated.
+func TestPaxsonGoldenChunk(t *testing.T) {
+	x, err := Paxson(5120, 0.8, rand.New(rand.NewPCG(7, 9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fnvHash(x), uint64(0xad06c5c40ae2c154); got != want {
+		t.Errorf("series hash = %#x, want golden %#x", got, want)
+	}
+}
+
 // TestPaxsonSplitMatchesComposed pins the cache contract: synthesis
 // from a precomputed spectrum must be bitwise identical to the
 // composed call, for even and odd lengths (odd lengths share the even
