@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRS -fuzztime=$(FUZZTIME) ./internal/lrd/
 	$(GO) test -fuzz=FuzzWhittle -fuzztime=$(FUZZTIME) ./internal/lrd/
 	$(GO) test -fuzz=FuzzMAVAR -fuzztime=$(FUZZTIME) ./internal/lrd/
+	$(GO) test -fuzz=FuzzOnlineMAVARPartition -fuzztime=$(FUZZTIME) ./internal/lrd/
 	$(GO) test -fuzz=FuzzCascade -fuzztime=$(FUZZTIME) ./internal/source/
 	$(GO) test -fuzz=FuzzPaxson -fuzztime=$(FUZZTIME) ./internal/fgn/
 
@@ -72,7 +73,7 @@ calibrate:
 # goes through an intermediate file so a benchmark failure fails the
 # target rather than feeding benchjson an empty stream.
 bench-json:
-	$(GO) test -run '^$$' -bench 'Ablation_Hosking10k$$|Ablation_DaviesHarte10k$$|Paxson10k$$|Paxson171k$$|PaxsonChunk5120$$|DaviesHarteChunk5120$$|Ablation_QueueFluid$$|Fig14_QCCurves$$|ColdGenerate$$|WarmGenerate$$|BatchGenerate$$|MAVAR$$|OnlineMAVARAdd$$|EstimateAll$$|SourceNext$$' -benchmem -count=3 . > bench.out
+	$(GO) test -run '^$$' -bench 'Ablation_Hosking10k$$|Ablation_DaviesHarte10k$$|Paxson10k$$|Paxson171k$$|PaxsonChunk5120$$|DaviesHarteChunk5120$$|Ablation_QueueFluid$$|Fig14_QCCurves$$|ColdGenerate$$|WarmGenerate$$|BatchGenerate$$|MAVAR$$|OnlineMAVARAdd$$|Monitor171k$$|EstimateAll$$|SourceNext$$' -benchmem -count=3 . > bench.out
 	@out="$(BENCH_OUT)"; \
 	if [ -z "$$out" ]; then i=0; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; out=BENCH_$$i.json; fi; \
 	$(GO) run ./cmd/benchjson -o "$$out" bench.out && echo "wrote $$out"

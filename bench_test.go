@@ -17,6 +17,7 @@ import (
 	"vbr/internal/lrd"
 	"vbr/internal/queue"
 	"vbr/internal/stats"
+	"vbr/internal/stream"
 	"vbr/internal/synth"
 )
 
@@ -605,6 +606,25 @@ func BenchmarkOnlineMAVARAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Add(float64(i&1023) - 511.5)
+	}
+}
+
+// BenchmarkMonitor171k is the stream.monitor layer of one paper-length
+// stream: a fresh monitor fed frame by frame, probed after every
+// 4096-frame block the way Stream.Next and the zoo adapter probe it.
+func BenchmarkMonitor171k(b *testing.B) {
+	xs := benchFGN(b, 171_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mo := stream.NewMonitor(len(xs))
+		for j, v := range xs {
+			mo.Add(v)
+			if (j+1)%4096 == 0 {
+				mo.Probe()
+			}
+		}
+		mo.Probe()
 	}
 }
 

@@ -27,8 +27,8 @@ import (
 // The implementation is the *decimated* form: instead of averaging
 // windows at every phase offset j (which needs an O(τ) sliding buffer
 // per octave), windows advance with stride τ/4 — each octave keeps the
-// phase sum of the sub-block being filled plus a fixed 12-slot ring of
-// completed sub-block sums, an O(1)-memory accumulator. Stationarity of
+// phase sum of the sub-block being filled plus the last 3f−1 completed
+// sub-block sums, an O(1)-memory accumulator. Stationarity of
 // the increments makes the strided average an unbiased estimate of the
 // same modified Allan variance; the 75%-overlapped windows keep most of
 // the fully-overlapped estimator's averaging, and the calibration
@@ -60,23 +60,33 @@ const (
 
 // mavarSubs is the number of sub-blocks per averaging window: windows
 // advance with stride τ/mavarSubs, so each completed sub-block yields
-// one second-difference window once the ring holds 3·mavarSubs sums.
+// one second-difference window once 3·mavarSubs sub-blocks exist.
 const mavarSubs = 4
 
+// mavarHist is the number of completed sub-block sums an octave carries
+// from one folded piece to the next: the newest window needs the last
+// 3f of them, and the piece supplies at least the newest one itself.
+const mavarHist = 3*mavarSubs - 1
+
+// mavarStage is the number of observations Add stages before the block
+// kernel folds them in. It sizes the fixed in-struct stage and the two
+// sub-block-sum rows (about 12 KiB together) and nothing else: any
+// piece length gives the same bits.
+const mavarStage = 512
+
 // mavarLevel is one octave's decimating accumulator: the phase sum of
-// the sub-block being filled, a fixed ring of the last 3·f completed
-// sub-block sums (f = min(τ, mavarSubs)), and the running
-// second-difference statistics.
+// the sub-block being filled, the last 3f−1 completed sub-block sums
+// (f = min(τ, mavarSubs)), and the running second-difference
+// statistics.
 type mavarLevel struct {
 	tau int
 	sub int // sub-block length: max(1, τ/mavarSubs)
 	f   int // sub-blocks per window block: τ/sub
 
-	acc  float64 // phase sum of the current, partially filled sub-block
-	fill int
-	ring [3 * mavarSubs]float64 // last 3f completed sub-block sums
-	head int                    // next ring write position (mod 3f)
-	subs int64                  // completed sub-blocks
+	acc   float64 // phase sum of the current, partially filled sub-block
+	fill  int
+	hist  [mavarHist]float64 // last nhist completed sub-block sums, oldest first
+	nhist int                // min(completed sub-blocks, 3f−1)
 
 	sumSq float64 // Σ (B₂ − 2B₁ + B₀)² over strided windows
 	count int64   // second-difference windows folded into sumSq
@@ -108,14 +118,20 @@ func (l *mavarLevel) modVar() float64 {
 }
 
 // OnlineMAVAR is the streaming MAVAR estimator: one decimating
-// accumulator per octave τ = 1, 2, 4, …, maxTau, fed one observation at
-// a time in O(1) memory and O(log maxTau) time per observation. Feeding
-// it a series in any block partitioning yields bitwise-identical state,
-// and the batch MAVAR function is defined as feeding the whole series.
+// accumulator per octave τ = 1, 2, 4, …, maxTau in O(1) memory. Add
+// stages observations and a level-major block kernel folds them in;
+// every reader folds what is pending first. Feeding a series in any
+// partition yields bitwise-identical results, and the batch MAVAR
+// function is defined as feeding the whole series.
 type OnlineMAVAR struct {
 	phase  float64
 	n      int64
 	levels []mavarLevel
+
+	staged int                                // observations waiting in stage
+	stage  [mavarStage]float64                // staged observations, then their phase prefix
+	sums   [2][mavarHist + mavarStage]float64 // sub-block sums of the octave pair being folded
+	spare  mavarLevel                         // partner of an odd octave out
 }
 
 // MaxMavarTau returns the largest octave-spaced observation interval τ
@@ -144,63 +160,144 @@ func NewOnlineMAVAR(maxTau int) *OnlineMAVAR {
 }
 
 // N reports how many observations have been folded in.
-func (o *OnlineMAVAR) N() int64 { return o.n }
+func (o *OnlineMAVAR) N() int64 {
+	o.fold()
+	return o.n
+}
 
 // MaxTau reports the largest tracked octave.
 func (o *OnlineMAVAR) MaxTau() int { return o.levels[len(o.levels)-1].tau }
 
-// Add folds one rate observation into every octave accumulator. It
-// allocates nothing and runs in O(number of octaves).
+// Add stages one rate observation, folding the staged piece into every
+// octave once the stage is full. It allocates nothing.
 //
 //vbrlint:hotpath
 func (o *OnlineMAVAR) Add(v float64) {
-	o.phase += v
-	o.n++
-	for i := range o.levels {
-		l := &o.levels[i]
-		l.acc += o.phase
-		l.fill++
-		if l.fill < l.sub {
-			continue
-		}
-		size := 3 * l.f
-		l.ring[l.head] = l.acc
-		l.head++
-		if l.head == size {
-			l.head = 0
-		}
-		l.subs++
-		l.acc, l.fill = 0, 0
-		if l.subs < int64(size) {
-			continue
-		}
-		// The ring now holds the last 3f sub-block sums, oldest at the
-		// next write position; the three window blocks B₀, B₁, B₂ are f
-		// consecutive sub-blocks each.
-		var b0, b1, b2 float64
-		idx := l.head
-		for j := 0; j < l.f; j++ {
-			b0 += l.ring[idx]
-			if idx++; idx == size {
-				idx = 0
-			}
-		}
-		for j := 0; j < l.f; j++ {
-			b1 += l.ring[idx]
-			if idx++; idx == size {
-				idx = 0
-			}
-		}
-		for j := 0; j < l.f; j++ {
-			b2 += l.ring[idx]
-			if idx++; idx == size {
-				idx = 0
-			}
-		}
-		d := b2 - 2*b1 + b0
-		l.sumSq += d * d
-		l.count++
+	o.stage[o.staged] = v
+	o.staged++
+	if o.staged == mavarStage {
+		o.fold()
 	}
+}
+
+// fold is the block kernel: it folds the staged piece into every octave
+// and empties the stage. The phase prefix is computed once; then the
+// octaves are walked a pair at a time, each with its running state in
+// locals. Octaves share no floating-point state, so this order performs
+// exactly the operations, in exactly the order, of updating every
+// octave observation by observation:
+//
+//   - the phase x_i and each sub-block's phase sum accumulate left to
+//     right as before;
+//   - each block sum B(s) of f consecutive sub-block sums accumulates
+//     from 0 in window order, computed once and shared by the three
+//     windows it belongs to (as their B₂, B₁ and B₀);
+//   - D = B₂ − 2B₁ + B₀ and Σ D² run in window order.
+//
+// Sub-block sums completed in earlier pieces come from the octave's
+// carried history, so the kernel gives the same bits for any partition.
+// Each sub-block sum is one chain of dependent additions; walking two
+// octaves in one pass lets the two chains overlap in the pipeline.
+//
+//vbrlint:hotpath
+func (o *OnlineMAVAR) fold() {
+	ph := o.stage[:o.staged]
+	if len(ph) == 0 {
+		return
+	}
+	phase := o.phase
+	for i, v := range ph {
+		phase += v
+		ph[i] = phase
+	}
+	o.phase = phase
+	o.n += int64(len(ph))
+	o.staged = 0
+
+	for i := 0; i < len(o.levels); i += 2 {
+		// An odd octave out pairs with a throwaway copy of itself.
+		a, b := &o.levels[i], &o.spare
+		if i+1 < len(o.levels) {
+			b = &o.levels[i+1]
+		} else {
+			o.spare = *a
+		}
+		// Each scratch row: carried history, then this piece's
+		// completed sub-block sums.
+		sa, sb := o.sums[0][:], o.sums[1][:]
+		ha, hb := copy(sa, a.hist[:a.nhist]), copy(sb, b.hist[:b.nhist])
+		na, nb := ha, hb
+		accA, fillA, subA := a.acc, a.fill, a.sub
+		accB, fillB, subB := b.acc, b.fill, b.sub
+		for _, x := range ph {
+			accA += x
+			accB += x
+			fillA++
+			fillB++
+			if fillA == subA {
+				sa[na] = accA
+				na++
+				accA, fillA = 0, 0
+			}
+			if fillB == subB {
+				sb[nb] = accB
+				nb++
+				accB, fillB = 0, 0
+			}
+		}
+		a.acc, a.fill = accA, fillA
+		b.acc, b.fill = accB, fillB
+		a.closeWindows(sa[:na], ha)
+		b.closeWindows(sb[:nb], hb)
+	}
+}
+
+// closeWindows folds the second-difference windows that the piece's
+// sub-blocks close into the running statistics and carries the newest
+// sub-block sums forward. sums holds the carried history (its first nh
+// entries) followed by the piece's completed sub-block sums, and is
+// overwritten.
+//
+//vbrlint:hotpath
+func (l *mavarLevel) closeWindows(sums []float64, nh int) {
+	f, ns := l.f, len(sums)
+	l.nhist = copy(l.hist[:3*f-1], sums[max(0, ns-(3*f-1)):])
+
+	// The sub-block at sums[t] closes a window once 3f sub-blocks
+	// exist; those before nh closed theirs in earlier pieces.
+	first := max(nh, 3*f-1)
+	if first >= ns {
+		return
+	}
+	// Overwrite bs[s] with B(s) = 0 + bs[s] + … + bs[s+f−1] in place:
+	// B(s) reads only bs[s:], so increasing s never reads a block sum
+	// where it wants a sub-block sum. f = min(τ, mavarSubs) is 1, 2 or
+	// 4, each spelled out left to right.
+	bs := sums[first+1-3*f:]
+	switch f {
+	case 1:
+		for s, x := range bs {
+			bs[s] = 0 + x
+		}
+	case 2:
+		for s := 0; s+1 < len(bs); s++ {
+			bs[s] = 0 + bs[s] + bs[s+1]
+		}
+	default:
+		for s := 0; s+3 < len(bs); s++ {
+			bs[s] = 0 + bs[s] + bs[s+1] + bs[s+2] + bs[s+3]
+		}
+	}
+	// Window t takes B₀ = B(t−3f+1), B₁ = B(t−2f+1) and B₂ = B(t−f+1).
+	nw := ns - first
+	b0s, b1s, b2s := bs[:nw], bs[f:f+nw], bs[2*f:2*f+nw]
+	sumSq := l.sumSq
+	for j, b0 := range b0s {
+		d := b2s[j] - 2*b1s[j] + b0
+		sumSq += d * d
+	}
+	l.sumSq = sumSq
+	l.count += int64(nw)
 }
 
 // Estimate returns the current Ĥ from the weighted log–log fit over the
@@ -211,6 +308,7 @@ func (o *OnlineMAVAR) Add(v float64) {
 //
 //vbrlint:hotpath
 func (o *OnlineMAVAR) Estimate() (h float64, octaves int) {
+	o.fold()
 	mu, _, _, n := o.fit(defaultMavarFitLo, 0)
 	if n < 2 {
 		return math.NaN(), 0
@@ -279,10 +377,11 @@ type MAVARResult struct {
 }
 
 // Result snapshots the accumulated state into a MAVARResult, fitting
-// over τ ∈ [fitLo, fitHi] (0, 0 selects the default range: τ ≥ 8,
+// over τ ∈ [fitLo, fitHi] (0, 0 selects the default range: τ ≥ 2,
 // unbounded above). It fails with an error matching
 // errs.ErrInvalidSeries while fewer than two octaves are usable.
 func (o *OnlineMAVAR) Result(fitLo, fitHi int) (*MAVARResult, error) {
+	o.fold()
 	if fitLo <= 0 {
 		fitLo = defaultMavarFitLo
 	}

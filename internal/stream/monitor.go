@@ -11,32 +11,21 @@ import (
 // variance is too noisy to regress on.
 const minAggSamples = 8
 
+// monitorStage is the number of frames Add stages before the
+// aggregation levels fold them in, level by level.
+const monitorStage = 512
+
 // aggLevel accumulates the variance of the m-aggregated series
 // X^(m)_i = (X_{im+1}+…+X_{(i+1)m})/m with Welford's update, the
 // streaming half of the §4.1 variance–time plot.
 type aggLevel struct {
 	m    int
-	acc  float64
+	acc  float64 // sum of the current, partially filled aggregate
 	fill int
 
 	n    int64
 	mean float64
 	m2   float64
-}
-
-//vbrlint:hotpath
-func (l *aggLevel) add(v float64) {
-	l.acc += v
-	l.fill++
-	if l.fill < l.m {
-		return
-	}
-	s := l.acc / float64(l.m)
-	l.acc, l.fill = 0, 0
-	l.n++
-	d := s - l.mean
-	l.mean += d / float64(l.n)
-	l.m2 += d * (s - l.mean)
 }
 
 func (l *aggLevel) variance() float64 {
@@ -58,9 +47,14 @@ func (l *aggLevel) variance() float64 {
 //     octave-spaced τ; its Ĥ gets a bias correction and a calibrated
 //     ±1.96σ half-width from the committed battery table, so snapshots
 //     report honest uncertainty, not a bare point value.
+//
+// Add stages frames; Probe folds what is pending first, so the probe
+// is the same bit for bit wherever the stream was probed before.
 type Monitor struct {
-	levels []*aggLevel
+	levels []aggLevel
 	mavar  *lrd.OnlineMAVAR
+	staged int
+	stage  [monitorStage]float64
 }
 
 // maxAggLevel picks the largest aggregation level worth tracking for a
@@ -80,19 +74,51 @@ func maxAggLevel(n int) int {
 func NewMonitor(n int) *Monitor {
 	mo := &Monitor{mavar: lrd.NewOnlineMAVAR(lrd.MaxMavarTau(n))}
 	for m := 1; m <= maxAggLevel(n); m *= 4 {
-		mo.levels = append(mo.levels, &aggLevel{m: m})
+		mo.levels = append(mo.levels, aggLevel{m: m})
 	}
 	return mo
 }
 
-// Add folds one frame into every aggregation level and the MAVAR
+// Add stages one frame for the aggregation levels and the MAVAR
 // accumulators.
+//
 //vbrlint:hotpath
 func (mo *Monitor) Add(v float64) {
-	for _, l := range mo.levels {
-		l.add(v)
+	mo.stage[mo.staged] = v
+	mo.staged++
+	if mo.staged == monitorStage {
+		mo.fold()
 	}
 	mo.mavar.Add(v)
+}
+
+// fold feeds the staged frames through every aggregation level, one
+// level at a time with its state in locals. Levels share no state, so
+// each runs exactly the per-frame sequence of Welford updates.
+//
+//vbrlint:hotpath
+func (mo *Monitor) fold() {
+	xs := mo.stage[:mo.staged]
+	mo.staged = 0
+	for i := range mo.levels {
+		l := &mo.levels[i]
+		m, fm := l.m, float64(l.m)
+		acc, fill, n, mean, m2 := l.acc, l.fill, l.n, l.mean, l.m2
+		for _, v := range xs {
+			acc += v
+			fill++
+			if fill < m {
+				continue
+			}
+			s := acc / fm
+			acc, fill = 0, 0
+			n++
+			d := s - mean
+			mean += d / float64(n)
+			m2 += d * (s - mean)
+		}
+		l.acc, l.fill, l.n, l.mean, l.m2 = acc, fill, n, mean, m2
+	}
 }
 
 // Probe is a point-in-time validation snapshot of a stream.
@@ -129,7 +155,8 @@ const maxProbeLevels = 32
 //
 //vbrlint:hotpath
 func (mo *Monitor) Probe() Probe {
-	base := mo.levels[0]
+	mo.fold()
+	base := &mo.levels[0]
 	p := Probe{N: base.n, Mean: base.mean, H: math.NaN(), HMavar: math.NaN(), HMavarErr: math.NaN()}
 	if v := base.variance(); !math.IsNaN(v) {
 		p.Std = math.Sqrt(v)
@@ -142,7 +169,8 @@ func (mo *Monitor) Probe() Probe {
 	}
 	var lxa, lya [maxProbeLevels]float64
 	lx, ly := lxa[:0], lya[:0]
-	for _, l := range mo.levels {
+	for i := range mo.levels {
+		l := &mo.levels[i]
 		if l.n < minAggSamples {
 			continue
 		}

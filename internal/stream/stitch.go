@@ -38,9 +38,28 @@ type stitch struct {
 	// regenerable in isolation.
 	chunk func(ctx context.Context, idx int) ([]float64, error)
 
+	// wc and ws are the crossfade weights cos θ_j and sin θ_j, built
+	// once per stream: every seam has the same overlap length.
+	wc, ws []float64
+
 	idx   int // next chunk index
 	pos   int // frames emitted
 	carry []float64
+}
+
+// newStitch builds the seam state shared by the chunked backends.
+func newStitch(cfg Config, name string, chunk func(ctx context.Context, idx int) ([]float64, error)) *stitch {
+	d := &stitch{
+		n: cfg.N, block: cfg.BlockSize, overlap: cfg.Overlap,
+		name: name, chunk: chunk,
+		wc: make([]float64, cfg.Overlap),
+		ws: make([]float64, cfg.Overlap),
+	}
+	for j := range d.wc {
+		theta := (float64(j) + 0.5) / float64(cfg.Overlap) * (math.Pi / 2)
+		d.wc[j], d.ws[j] = math.Cos(theta), math.Sin(theta)
+	}
+	return d
 }
 
 // newDHStitch builds the Davies–Harte chunked backend: exact circulant
@@ -50,21 +69,17 @@ type stitch struct {
 // same (H, chunk length).
 func newDHStitch(cfg Config) *stitch {
 	clen := cfg.BlockSize + cfg.Overlap
-	return &stitch{
-		n: cfg.N, block: cfg.BlockSize, overlap: cfg.Overlap,
-		name: "davies-harte",
-		chunk: func(ctx context.Context, idx int) ([]float64, error) {
-			rng := rand.New(rand.NewPCG(cfg.Seed, dhStreamSalt+uint64(idx)))
-			if cfg.Pool != nil {
-				lam, err := cfg.Pool.DaviesHarteEigen(ctx, cfg.Model.Hurst, clen)
-				if err != nil {
-					return nil, err
-				}
-				return fgn.DaviesHarteFromEigenCtx(ctx, clen, lam, rng)
+	return newStitch(cfg, "davies-harte", func(ctx context.Context, idx int) ([]float64, error) {
+		rng := rand.New(rand.NewPCG(cfg.Seed, dhStreamSalt+uint64(idx)))
+		if cfg.Pool != nil {
+			lam, err := cfg.Pool.DaviesHarteEigen(ctx, cfg.Model.Hurst, clen)
+			if err != nil {
+				return nil, err
 			}
-			return fgn.DaviesHarteCtx(ctx, clen, cfg.Model.Hurst, rng)
-		},
-	}
+			return fgn.DaviesHarteFromEigenCtx(ctx, clen, lam, rng)
+		}
+		return fgn.DaviesHarteCtx(ctx, clen, cfg.Model.Hurst, rng)
+	})
 }
 
 // newPaxsonStitch builds the Paxson chunked backend: FFT-approximate
@@ -75,26 +90,23 @@ func newDHStitch(cfg Config) *stitch {
 // Davies–Harte stream of the same seed stay independent.
 func newPaxsonStitch(cfg Config) *stitch {
 	clen := cfg.BlockSize + cfg.Overlap
-	return &stitch{
-		n: cfg.N, block: cfg.BlockSize, overlap: cfg.Overlap,
-		name: "paxson",
-		chunk: func(ctx context.Context, idx int) ([]float64, error) {
-			rng := rand.New(rand.NewPCG(cfg.Seed, paxsonStreamSalt+uint64(idx)))
-			if cfg.Pool != nil {
-				p, err := cfg.Pool.PaxsonSpectrum(ctx, cfg.Model.Hurst, clen)
-				if err != nil {
-					return nil, err
-				}
-				return fgn.PaxsonFromSpectrumCtx(ctx, clen, p, rng)
+	return newStitch(cfg, "paxson", func(ctx context.Context, idx int) ([]float64, error) {
+		rng := rand.New(rand.NewPCG(cfg.Seed, paxsonStreamSalt+uint64(idx)))
+		if cfg.Pool != nil {
+			p, err := cfg.Pool.PaxsonSpectrum(ctx, cfg.Model.Hurst, clen)
+			if err != nil {
+				return nil, err
 			}
-			return fgn.PaxsonCtx(ctx, clen, cfg.Model.Hurst, rng)
-		},
-	}
+			return fgn.PaxsonFromSpectrumCtx(ctx, clen, p, rng)
+		}
+		return fgn.PaxsonCtx(ctx, clen, cfg.Model.Hurst, rng)
+	})
 }
 
 // Next implements the gaussian contract: it emits one stitched block per
 // call (the final block may be short), reusing dst as the only
 // caller-visible buffer.
+//
 //vbrlint:hotpath
 func (d *stitch) Next(ctx context.Context, dst []float64) (int, error) {
 	if d.pos >= d.n {
@@ -114,8 +126,7 @@ func (d *stitch) Next(ctx context.Context, dst []float64) (int, error) {
 	start := 0
 	if d.idx > 0 && d.overlap > 0 {
 		for ; start < d.overlap && start < emit; start++ {
-			theta := (float64(start) + 0.5) / float64(d.overlap) * (math.Pi / 2)
-			dst[start] = math.Cos(theta)*d.carry[start] + math.Sin(theta)*chunk[start]
+			dst[start] = d.wc[start]*d.carry[start] + d.ws[start]*chunk[start]
 		}
 	}
 	copy(dst[start:emit], chunk[start:emit])
