@@ -5,12 +5,16 @@ FUZZTIME ?= 10s
 # baseline that overhead comparisons run against).
 BENCH_OUT ?=
 
-.PHONY: all build vet lint test race fuzz-smoke bench-json calibrate ci clean
+.PHONY: all build fmt vet lint test race fuzz-smoke bench-json calibrate ci clean
 
 all: build vet lint test
 
 build:
 	$(GO) build ./...
+
+# gofmt must print no file names: a listed file is not formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -38,7 +42,8 @@ race:
 	$(GO) test -race ./internal/fleet/
 
 # Short fuzzing pass over the parser/decoder fuzz targets, the Ĥ
-# estimator robustness targets, and the scenario-zoo cascade invariants;
+# estimator robustness targets, the scenario-zoo cascade invariants, and
+# the exact-Hosking stepper against its former recursions;
 # one target per invocation as go test requires.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeSymbols -fuzztime=$(FUZZTIME) ./internal/codec/
@@ -52,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzOnlineMAVARPartition -fuzztime=$(FUZZTIME) ./internal/lrd/
 	$(GO) test -fuzz=FuzzCascade -fuzztime=$(FUZZTIME) ./internal/source/
 	$(GO) test -fuzz=FuzzPaxson -fuzztime=$(FUZZTIME) ./internal/fgn/
+	$(GO) test -fuzz=FuzzHoskingStepper -fuzztime=$(FUZZTIME) ./internal/fgn/
 
 # Regenerate the committed estimator calibration table: run the full
 # bias/variance battery (known-H fGn × lengths × 32 seeds, base seed
@@ -64,22 +70,23 @@ calibrate:
 		-calibrate-go internal/lrd/calibration_table.go
 
 # Pinned benchmark subset as a committed/CI JSON snapshot: the three
-# fGn generators plus the paper-scale Auto-policy cold generation and the
-# per-chunk Paxson / Davies–Harte synthesis a stream runs, the
-# fluid queue, the end-to-end Fig 14 sweep, the generation-cache
-# cold/warm/batch trio, the estimator battery (batch MAVAR, the
-# streaming per-observation update, the full EstimateAll bundle), and
-# the per-frame hot path of every scenario-zoo model. The text output
-# goes through an intermediate file so a benchmark failure fails the
-# target rather than feeding benchjson an empty stream.
+# fGn generators, exact Hosking's warm stream and coefficient schedule,
+# the paper-scale Auto-policy cold generation and the per-chunk Paxson /
+# Davies–Harte synthesis a stream runs, the fluid queue, the end-to-end
+# Fig 14 sweep, the generation-cache cold/warm/batch trio, the
+# estimator battery (batch MAVAR, the streaming per-observation update,
+# the full EstimateAll bundle), and the per-frame hot path of every
+# scenario-zoo model. The text output goes through an intermediate file
+# so a benchmark failure fails the target rather than feeding benchjson
+# an empty stream.
 bench-json:
-	$(GO) test -run '^$$' -bench 'Ablation_Hosking10k$$|Ablation_DaviesHarte10k$$|Paxson10k$$|Paxson171k$$|PaxsonChunk5120$$|DaviesHarteChunk5120$$|Ablation_QueueFluid$$|Fig14_QCCurves$$|ColdGenerate$$|WarmGenerate$$|BatchGenerate$$|MAVAR$$|OnlineMAVARAdd$$|Monitor171k$$|EstimateAll$$|SourceNext$$' -benchmem -count=3 . > bench.out
+	$(GO) test -run '^$$' -bench 'Ablation_Hosking10k$$|HoskingStream10k$$|HoskingSchedule10k$$|Ablation_DaviesHarte10k$$|Paxson10k$$|Paxson171k$$|PaxsonChunk5120$$|DaviesHarteChunk5120$$|Ablation_QueueFluid$$|Fig14_QCCurves$$|ColdGenerate$$|WarmGenerate$$|BatchGenerate$$|MAVAR$$|OnlineMAVARAdd$$|Monitor171k$$|EstimateAll$$|SourceNext$$' -benchmem -count=3 . > bench.out
 	@out="$(BENCH_OUT)"; \
 	if [ -z "$$out" ]; then i=0; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; out=BENCH_$$i.json; fi; \
 	$(GO) run ./cmd/benchjson -o "$$out" bench.out && echo "wrote $$out"
 	@rm -f bench.out
 
-ci: build vet lint test race fuzz-smoke
+ci: build fmt vet lint test race fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -245,6 +245,48 @@ func BenchmarkAblation_Hosking10k(b *testing.B) {
 	}
 }
 
+// The fgn layer of a hosking-sweep job: a warm stream over a pooled
+// 10k-point coefficient schedule, drained in the default 4096-frame
+// blocks. Only the innovation recursion is timed; the schedule is
+// built once before the loop, as genpool serves it.
+func BenchmarkHoskingStream10k(b *testing.B) {
+	const n = 10000
+	c, err := fgn.NewHoskingCoeffs(0.8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.EnsureCtx(context.Background(), n); err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]float64, 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := fgn.NewHoskingStreamWithCoeffs(n, c, rand.New(rand.NewPCG(uint64(i+1), 1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for s.Pos() < n {
+			if _, err := s.Next(context.Background(), buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// The seed-independent half of exact Hosking: a 10k-point φ_kk/v_k
+// schedule built from empty, what a genpool miss pays once per H.
+func BenchmarkHoskingSchedule10k(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		c, err := fgn.NewHoskingCoeffs(0.8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.EnsureCtx(context.Background(), 10000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAblation_DaviesHarte10k(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	b.ResetTimer()

@@ -3,7 +3,6 @@ package fgn
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sync"
 
@@ -37,30 +36,28 @@ import (
 type HoskingCoeffs struct {
 	h float64
 
-	mu  sync.Mutex
-	kk  []float64 // kk[k] = φ_kk (kk[0] unused)
-	v   []float64 // v[k] = conditional variance after step k (v[0] = 1)
-	rho []float64 // ρ_0..ρ_{n-1}
-	phi []float64 // φ_{n-1,·}, the last full coefficient vector
-	// Scalar recursion state N_{n-1}, D_{n-1} (Eqs. 7–8).
-	nPrev, dPrev float64
+	mu sync.Mutex
+	kk []float64 // kk[k] = φ_kk (kk[0] unused)
+	v  []float64 // v[k] = conditional variance after step k (v[0] = 1)
+	// st is the schedule's stepper, without history: ρ_0..ρ_{n}, the
+	// in-place φ_{n-1,·} and the scalar recursion state at the top of
+	// step n = len(kk).
+	st hoskingStepper
 }
 
 // NewHoskingCoeffs prepares an empty schedule for Hurst parameter h.
 // The schedule initially covers a single point (X_0 needs no
 // coefficients); EnsureCtx grows it on demand.
 func NewHoskingCoeffs(h float64) (*HoskingCoeffs, error) {
-	if !validHurst(h) {
-		return nil, fmt.Errorf("fgn: Hurst parameter must be in (0,1), got %v", h)
+	rho, err := FarimaACF(h, 1) // rejects an invalid h
+	if err != nil {
+		return nil, err
 	}
 	return &HoskingCoeffs{
-		h:     h,
-		kk:    []float64{0},
-		v:     []float64{1},
-		rho:   []float64{1},
-		phi:   []float64{0},
-		nPrev: 0,
-		dPrev: 1,
+		h:  h,
+		kk: []float64{0},
+		v:  []float64{1},
+		st: hoskingStepper{k: 1, phi: []float64{0}, rho: rho, v: 1, dPrev: 1, nk: rho[1]},
 	}, nil
 }
 
@@ -79,15 +76,15 @@ func (c *HoskingCoeffs) Len() int {
 func (c *HoskingCoeffs) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return int64(cap(c.kk)+cap(c.v)+cap(c.rho)+cap(c.phi)) * 8
+	return int64(cap(c.kk)+cap(c.v)+cap(c.st.rho)+cap(c.st.phi)) * 8
 }
 
 // EnsureCtx extends the schedule to cover at least n points, continuing
 // the Levinson–Durbin recursion from where it stopped: growing from n₁
-// to n₂ costs O(n₂²−n₁²), not O(n₂²). The arithmetic — expression by
-// expression, in evaluation order — matches hoskingRun, so the schedule
-// entries are bitwise identical to the values the cold path computes
-// inline. Cancellation is checked once per outer iteration.
+// to n₂ costs O(n₂²−n₁²), not O(n₂²). The stepper is the one the cold
+// generators run, so the schedule entries are bitwise identical to the
+// values the cold path computes inline. Cancellation is checked once
+// per outer iteration.
 func (c *HoskingCoeffs) EnsureCtx(ctx context.Context, n int) error {
 	if n < 1 {
 		return fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
@@ -101,48 +98,37 @@ func (c *HoskingCoeffs) EnsureCtx(ctx context.Context, n int) error {
 	scope := obs.From(ctx)
 	defer scope.Span("fgn.hosking.coeffs")()
 
-	// Extend ρ by the stable FarimaACF recurrence (Eq. 6); each ρ_k is
-	// derived from ρ_{k-1} alone, so continuing the chain reproduces the
-	// exact values a fresh FarimaACF(h, n) call would produce.
+	// Extend ρ to ρ_n by the stable FarimaACF recurrence (Eq. 6): the
+	// last step folds N_n. Each ρ_k is derived from ρ_{k-1} alone, so
+	// continuing the chain reproduces the exact values a fresh
+	// FarimaACF(h, n) call would produce.
+	s := &c.st
 	d := c.h - 0.5
-	for k := len(c.rho); k < n; k++ {
+	for k := len(s.rho); k <= n; k++ {
 		kf := float64(k)
-		c.rho = append(c.rho, c.rho[k-1]*(kf-1+d)/(kf-d))
+		s.rho = append(s.rho, s.rho[k-1]*(kf-1+d)/(kf-d))
 	}
 	// φ needs room for indices 1..n-1. The growth guard matters when a
 	// past cancellation left the lookahead slices longer than the
 	// completed coverage: a shorter retry must not compute a negative
 	// append count.
-	if grow := n - len(c.phi); grow > 0 {
-		c.phi = append(c.phi, make([]float64, grow)...)
+	if grow := n - len(s.phi); grow > 0 {
+		s.phi = append(s.phi, make([]float64, grow)...)
 	}
 
 	for k := cur; k < n; k++ {
 		if ctx.Err() != nil {
 			// Roll the lookahead slices back to the completed coverage so
 			// the schedule is left exactly as a successful EnsureCtx(k)
-			// would have left it (len(kk)==len(v)==len(rho)==len(phi)) and
+			// would have left it (len(rho)−1 == len(phi) == len(kk)) and
 			// a retry of any length — shorter or longer — resumes cleanly.
-			c.rho = c.rho[:len(c.kk)]
-			c.phi = c.phi[:len(c.kk)]
+			s.rho = s.rho[:k+1]
+			s.phi = s.phi[:k]
 			return fmt.Errorf("fgn: coefficient schedule interrupted at point %d of %d: %w", k, n, errs.Cancelled(ctx))
 		}
-		// N_k and D_k (Eqs. 7–8), with c.phi holding φ_{k-1,·}.
-		nk := dotRevSub(c.rho[k], c.phi[1:k], c.rho[1:k])
-		dk := c.dPrev - c.nPrev*c.nPrev/c.dPrev
-
-		phikk := nk / dk
-		updatePhiInPlace(c.phi, k, phikk)
-
-		vk := c.v[k-1] * (1 - phikk*phikk)
-		if vk < 0 {
-			// Numerically impossible for valid ρ, but guard against
-			// catastrophic cancellation at extreme H — as hoskingRun does.
-			vk = 0
-		}
+		phikk, vk, _ := s.step()
 		c.kk = append(c.kk, phikk)
 		c.v = append(c.v, vk)
-		c.nPrev, c.dPrev = nk, dk
 	}
 	scope.Count("fgn.hosking.coeffs.points", int64(n-cur))
 	return nil
@@ -168,36 +154,16 @@ func interruptedErr(ctx context.Context, what string, k, n int) error {
 	return fmt.Errorf("fgn: %s interrupted at point %d of %d: %w", what, k, n, errs.Cancelled(ctx))
 }
 
-// updatePhiInPlace applies the Levinson step φ_{k,j} = φ_{k-1,j} −
-// c·φ_{k-1,k-j} for j = 1..k-1 in place and sets φ_{k,k} = c. The
-// symmetric pairs (j, k-j) are read before either is written, so the
-// results carry exactly the bits of the two-buffer form in hoskingRun.
-//vbrlint:hotpath
-func updatePhiInPlace(phi []float64, k int, c float64) {
-	for i, j := 1, k-1; i < j; i, j = i+1, j-1 {
-		a, b := phi[i], phi[j]
-		phi[i] = a - c*b
-		phi[j] = b - c*a
-	}
-	if k >= 2 && k%2 == 0 {
-		m := k / 2
-		a := phi[m]
-		phi[m] = a - c*a
-	}
-	phi[k] = c
-}
-
 // HoskingFromCoeffs generates n points of fractional ARIMA(0, d, 0)
 // noise like HoskingCtx, but drives the innovation recursion from a
-// precomputed coefficient schedule: the O(k) linear-prediction dot
-// product against ρ and the two-buffer φ copy disappear, leaving the
-// in-place φ update and the conditional-mean sum. For the same rng
-// state the output is bitwise identical to HoskingCtx — the schedule
-// holds exactly the φ_kk and v_k the cold recursion would compute.
+// precomputed coefficient schedule: the stepper's prediction chain
+// against ρ disappears, leaving the in-place φ update and the
+// conditional-mean chain in one sweep. For the same rng state the
+// output is bitwise identical to HoskingCtx — the schedule holds
+// exactly the φ_kk and v_k the cold recursion would compute.
 //
 // The schedule is extended on demand (a cache hit for a longer trace is
 // still a hit for the coefficients already present).
-//vbrlint:hotpath
 func HoskingFromCoeffs(ctx context.Context, n int, c *HoskingCoeffs, rng *rand.Rand) ([]float64, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
@@ -215,24 +181,10 @@ func HoskingFromCoeffs(ctx context.Context, n int, c *HoskingCoeffs, rng *rand.R
 	if err != nil {
 		return nil, err
 	}
-	scope := obs.From(ctx)
-	defer scope.Span("fgn.hosking.warm")()
-
-	x := make([]float64, n)
-	phi := make([]float64, n)
-	x[0] = rng.NormFloat64() // X_0 ~ N(0, v_0), v_0 = 1
-	for k := 1; k < n; k++ {
-		if ctx.Err() != nil {
-			return nil, interruptedErr(ctx, "Hosking generation", k, n)
-		}
-		updatePhiInPlace(phi, k, kk[k])
-		// Conditional mean (Eq. 11), summed in the cold path's order.
-		m := dotRevAdd(0, phi[1:k+1], x[:k])
-		x[k] = m + math.Sqrt(v[k])*rng.NormFloat64()
-	}
-	scope.Count("fgn.hosking.points", int64(n))
-	scope.Progress("fgn.hosking", int64(n), int64(n))
-	return x, nil
+	defer obs.From(ctx).Span("fgn.hosking.warm")()
+	s := newWarmStepper(n, kk, v)
+	x, _, err := s.run(ctx, c.h, rng, nil, 0, nil)
+	return x, err
 }
 
 // NewHoskingStreamWithCoeffs prepares an incremental Hosking generation
@@ -254,10 +206,5 @@ func NewHoskingStreamWithCoeffs(n int, c *HoskingCoeffs, rng *rand.Rand) (*Hoski
 	if err != nil {
 		return nil, err
 	}
-	return &HoskingStream{
-		n: n, h: c.h, rng: rng,
-		kk: kk, vs: v,
-		x:   make([]float64, n),
-		phi: make([]float64, n),
-	}, nil
+	return &HoskingStream{rng: rng, st: newWarmStepper(n, kk, v)}, nil
 }

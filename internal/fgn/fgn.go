@@ -117,7 +117,10 @@ type MarshalableSource interface {
 // (Eqs. 7–12), and the serialized random-source position. Together with
 // (N, H) — the ρ sequence is recomputed deterministically — it resumes
 // the generation to produce output bitwise identical to an uninterrupted
-// run.
+// run. PhiPrev is the stepper's in-place φ at the top of step K; the
+// pending N_K, which the stepper folds one step ahead, is not stored
+// but recomputed on resume by one plain pass, so snapshots keep the
+// layout of the former two-buffer recursion.
 type HoskingState struct {
 	N       int
 	H       float64
@@ -176,162 +179,70 @@ func hoskingRun(ctx context.Context, n int, h float64, rng *rand.Rand, src Marsh
 	if !validHurst(h) {
 		return nil, nil, fmt.Errorf("fgn: Hurst parameter must be in (0,1), got %v", h)
 	}
-	rho, err := FarimaACF(h, n)
+	s, err := newColdStepper(n, h)
 	if err != nil {
 		return nil, nil, err
 	}
-	scope := obs.From(ctx)
-	defer scope.Span("fgn.hosking")()
-
-	x := make([]float64, n)
-	phi := make([]float64, n)     // φ_{k,·}, reused in place
-	phiPrev := make([]float64, n) // φ_{k-1,·}
-	v := 1.0
-	nPrev, dPrev := 0.0, 1.0
-	k0 := 1
-
+	defer obs.From(ctx).Span("fgn.hosking")()
 	if resume != nil {
 		if err := validateState(resume, n, h, src); err != nil {
 			return nil, nil, err
 		}
-		copy(x, resume.X)
-		copy(phiPrev, resume.PhiPrev)
-		v, nPrev, dPrev = resume.V, resume.NPrev, resume.DPrev
-		k0 = resume.K
-	} else {
-		x[0] = rng.NormFloat64() // X_0 ~ N(0, v_0), v_0 = 1
+		s.resume(resume)
 	}
+	return s.run(ctx, h, rng, src, every, save)
+}
 
-	// fresh is the point X_0 drawn outside the recursion on a fresh
-	// start.
-	fresh := 0
-	if resume == nil {
+// run draws the stepper's remaining points — X_0 first on a fresh
+// start — and returns the whole series. Cancellation is checked once
+// per point, and a non-nil src yields the snapshot there. Every
+// progressEvery points it flushes the point counter and reports
+// progress; with save and a positive every it hands save a snapshot
+// every `every` points, taken at the top of a step, before the step
+// consumes randomness, which keeps resumed output bitwise identical.
+func (s *hoskingStepper) run(ctx context.Context, h float64, rng *rand.Rand, src MarshalableSource, every int, save SnapshotFunc) ([]float64, *HoskingState, error) {
+	n := len(s.x)
+	scope := obs.From(ctx)
+	fresh := 0 // X_0, drawn outside the recursion on a fresh start
+	if s.k == 0 {
+		s.draw(rng) // X_0 ~ N(0, v_0), v_0 = 1
 		fresh = 1
 	}
-
-	// Progress flushes and periodic snapshots fire when k reaches a
-	// precomputed mark rather than via per-iteration modulo checks:
-	// inlining those checks into the loop body measurably slowed the
-	// inner recursion loops (~15% on n=10k), so the hot loop pays one
-	// integer compare and the side work lives in hoskingTicker.fire.
-	t := hoskingTicker{scope: scope, n: n, h: h, k0: k0, fresh: fresh, every: every, save: save, src: src}
-	next := t.firstMark()
-
+	k0 := s.k
+	counted := 0 // points already flushed into fgn.hosking.points
+	nextProg, nextSnap := k0+progressEvery, n
+	if save != nil && every > 0 {
+		nextSnap = k0 + every
+	}
 	for k := k0; k < n; k++ {
 		if ctx.Err() != nil {
-			scope.Count("fgn.hosking.points", int64(k-k0+fresh-t.counted))
+			scope.Count("fgn.hosking.points", int64(k-k0+fresh-counted))
 			var st *HoskingState
 			if src != nil {
-				st = snapshotState(n, h, k, v, nPrev, dPrev, x, phiPrev, src)
+				st = s.snapshot(h, src)
 				scope.Count("checkpoint.snapshots", 1)
 			}
-			return nil, st, fmt.Errorf("fgn: Hosking generation interrupted at point %d of %d: %w", k, n, errs.Cancelled(ctx))
+			return nil, st, interruptedErr(ctx, "Hosking generation", k, n)
 		}
-		if k == next {
-			var st *HoskingState
-			next, st, err = t.fire(k, v, nPrev, dPrev, x, phiPrev)
-			if err != nil {
-				return nil, st, err
+		if k == nextProg {
+			scope.Count("fgn.hosking.points", int64(k-k0+fresh-counted))
+			counted = k - k0 + fresh
+			scope.Progress("fgn.hosking", int64(k), int64(n))
+			nextProg += progressEvery
+		}
+		if k == nextSnap {
+			st := s.snapshot(h, src)
+			scope.Count("checkpoint.snapshots", 1)
+			if err := save(st); err != nil {
+				return nil, st, fmt.Errorf("fgn: saving periodic snapshot at point %d of %d: %w", k, n, err)
 			}
+			nextSnap += every
 		}
-
-		// N_k and D_k (Eqs. 7–8); dotRevSub walks j = 1..k-1 in order.
-		nk := dotRevSub(rho[k], phiPrev[1:k], rho[1:k])
-		dk := dPrev - nPrev*nPrev/dPrev
-
-		phikk := nk / dk
-		phi[k] = phikk
-		for j := 1; j < k; j++ {
-			phi[j] = phiPrev[j] - phikk*phiPrev[k-j]
-		}
-
-		// Conditional mean and variance (Eqs. 11–12).
-		m := dotRevAdd(0, phi[1:k+1], x[:k])
-		v *= 1 - phikk*phikk
-		if v < 0 {
-			// Numerically impossible for valid ρ, but guard against
-			// catastrophic cancellation at extreme H.
-			v = 0
-		}
-		x[k] = m + math.Sqrt(v)*rng.NormFloat64()
-
-		copy(phiPrev[1:k+1], phi[1:k+1])
-		nPrev, dPrev = nk, dk
+		s.draw(rng)
 	}
-	scope.Count("fgn.hosking.points", int64(n-k0+fresh-t.counted))
+	scope.Count("fgn.hosking.points", int64(n-k0+fresh-counted))
 	scope.Progress("fgn.hosking", int64(n), int64(n))
-	return x, nil, nil
-}
-
-// hoskingTicker schedules the recursion's periodic side work —
-// progress/counter flushes every progressEvery points and snapshots
-// every `every` points — as precomputed marks, so hoskingRun's hot
-// loop tests a single integer equality per iteration and the cold
-// paths stay out of its body.
-type hoskingTicker struct {
-	scope   *obs.Scope
-	n       int
-	h       float64
-	k0      int
-	fresh   int
-	counted int // points already flushed into fgn.hosking.points
-	every   int
-	save    SnapshotFunc
-	src     MarshalableSource
-
-	nextProg int
-	nextSnap int
-}
-
-// firstMark initialises the progress and snapshot marks and returns
-// the first point index at which fire must run. Marks at or beyond n
-// simply never fire.
-func (t *hoskingTicker) firstMark() int {
-	t.nextProg = t.k0 + progressEvery
-	t.nextSnap = t.n // snapshots disabled: mark is unreachable
-	if t.save != nil && t.every > 0 {
-		t.nextSnap = t.k0 + t.every
-	}
-	return min(t.nextProg, t.nextSnap)
-}
-
-// fire runs the side work due at point k — kept out of hoskingRun's
-// loop body deliberately — and returns the next mark. On a failed
-// snapshot save it returns the snapshot alongside the error so the
-// caller can hand both to its caller.
-//
-//go:noinline
-func (t *hoskingTicker) fire(k int, v, nPrev, dPrev float64, x, phiPrev []float64) (int, *HoskingState, error) {
-	if k == t.nextProg {
-		done := k - t.k0 + t.fresh
-		t.scope.Count("fgn.hosking.points", int64(done-t.counted))
-		t.counted = done
-		t.scope.Progress("fgn.hosking", int64(k), int64(t.n))
-		t.nextProg += progressEvery
-	}
-	if k == t.nextSnap {
-		st := snapshotState(t.n, t.h, k, v, nPrev, dPrev, x, phiPrev, t.src)
-		t.scope.Count("checkpoint.snapshots", 1)
-		if err := t.save(st); err != nil {
-			return 0, st, fmt.Errorf("fgn: saving periodic snapshot at point %d of %d: %w", k, t.n, err)
-		}
-		t.nextSnap += t.every
-	}
-	return min(t.nextProg, t.nextSnap), nil, nil
-}
-
-// snapshotState copies the live recursion state into an owned snapshot.
-func snapshotState(n int, h float64, k int, v, nPrev, dPrev float64, x, phiPrev []float64, src MarshalableSource) *HoskingState {
-	st := &HoskingState{
-		N: n, H: h, K: k,
-		V: v, NPrev: nPrev, DPrev: dPrev,
-		X:       append([]float64(nil), x[:k]...),
-		PhiPrev: append([]float64(nil), phiPrev[:k]...),
-	}
-	if b, err := src.MarshalBinary(); err == nil {
-		st.RNG = b
-	}
-	return st
+	return s.x, nil, nil
 }
 
 // validateState checks a resume snapshot against the requested run and

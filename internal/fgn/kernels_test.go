@@ -123,9 +123,11 @@ func TestHoskingStreamPreTilingGolden(t *testing.T) {
 	}
 }
 
-// TestDotKernelsMatchScalar cross-checks the unrolled kernels against
-// the plain scalar loops bit for bit, across lengths that hit every
-// unroll remainder (0–3) and both the empty and singleton edges.
+// TestDotKernelsMatchScalar cross-checks the unrolled kernels the
+// former recursions in oracle_test.go call against the plain scalar
+// loops bit for bit, across lengths that hit every unroll remainder
+// (0–3) and both the empty and singleton edges, so the oracles are
+// themselves held to the scalar definition.
 func TestDotKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 11))
 	for n := 0; n <= 67; n++ {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"math/rand/v2"
 
 	"vbr/internal/obs"
@@ -12,10 +11,10 @@ import (
 
 // HoskingStream is the pull-based form of the Hosking recursion: instead
 // of materializing all n points in one call, callers draw the series
-// block by block with Next. The arithmetic is identical to hoskingRun —
-// same recurrence, same order of random draws — so the concatenation of
-// all blocks is bitwise-identical to the output of Hosking(n, h, rng)
-// with an equally seeded generator.
+// block by block with Next. It advances the same stepper as the batch
+// generators — same recurrence, same order of random draws — so the
+// concatenation of all blocks is bitwise-identical to the output of
+// Hosking(n, h, rng) with an equally seeded generator.
 //
 // The recursion state (generated prefix, partial linear-prediction
 // coefficients, ρ sequence) grows with the position k; that O(n) state
@@ -24,24 +23,10 @@ import (
 // buffering between generator and consumer: each Next hands out only the
 // block just produced.
 type HoskingStream struct {
-	n   int
-	h   float64
 	rng *rand.Rand
-
-	rho     []float64
-	x       []float64
-	phi     []float64
-	phiPrev []float64
-	v       float64
-	nPrev   float64
-	dPrev   float64
-	k       int // next point to generate
-
-	// Warm mode (NewHoskingStreamWithCoeffs): precomputed φ_kk and v_k
-	// schedules replace the ρ dot product, the two-buffer φ copy and the
-	// variance recursion. nil in cold mode.
-	kk []float64
-	vs []float64
+	// st runs cold (from ρ) after NewHoskingStream and warm (from a
+	// cached φ_kk/v_k schedule) after NewHoskingStreamWithCoeffs.
+	st hoskingStepper
 }
 
 // NewHoskingStream prepares an incremental Hosking generation of n
@@ -58,94 +43,45 @@ func NewHoskingStream(n int, h float64, rng *rand.Rand) (*HoskingStream, error) 
 	if rng == nil {
 		return nil, fmt.Errorf("fgn: stream needs a random source")
 	}
-	rho, err := FarimaACF(h, n)
+	st, err := newColdStepper(n, h)
 	if err != nil {
 		return nil, err
 	}
-	return &HoskingStream{
-		n: n, h: h, rng: rng,
-		rho:     rho,
-		x:       make([]float64, n),
-		phi:     make([]float64, n),
-		phiPrev: make([]float64, n),
-		v:       1,
-		nPrev:   0,
-		dPrev:   1,
-	}, nil
+	return &HoskingStream{rng: rng, st: st}, nil
 }
 
 // Pos returns how many points have been generated so far.
-func (s *HoskingStream) Pos() int { return s.k }
+func (s *HoskingStream) Pos() int { return s.st.k }
 
 // Len returns the total length of the stream.
-func (s *HoskingStream) Len() int { return s.n }
+func (s *HoskingStream) Len() int { return len(s.st.x) }
 
 // Next advances the recursion by up to len(dst) points, filling dst from
 // the front, and returns how many points were produced. After the last
 // point it returns (0, io.EOF). Cancellation is checked once per
-// generated point (the late-recursion iterations are O(n) each) and
-// surfaces as an error matching errs.ErrCancelled.
+// generated point after X_0 (the late-recursion iterations are O(n)
+// each) and surfaces as an error matching errs.ErrCancelled.
+//
 //vbrlint:hotpath
 func (s *HoskingStream) Next(ctx context.Context, dst []float64) (int, error) {
-	if s.k >= s.n {
+	n := len(s.st.x)
+	if s.st.k >= n {
 		return 0, io.EOF
 	}
 	if len(dst) == 0 {
 		return 0, fmt.Errorf("fgn: stream block must be non-empty")
 	}
-	want := len(dst)
-	if rem := s.n - s.k; want > rem {
-		want = rem
-	}
+	want := min(len(dst), n-s.st.k)
 	produced := 0
-	if s.k == 0 {
-		// X_0 ~ N(0, v_0), v_0 = 1, exactly as hoskingRun draws it.
-		s.x[0] = s.rng.NormFloat64()
-		dst[0] = s.x[0]
-		s.k = 1
+	if s.st.k == 0 {
+		dst[0] = s.st.draw(s.rng) // X_0 unchecked, as batch generation draws it
 		produced = 1
 	}
-	for produced < want {
+	for ; produced < want; produced++ {
 		if ctx.Err() != nil {
-			return produced, interruptedErr(ctx, "Hosking stream", s.k, s.n)
+			return produced, interruptedErr(ctx, "Hosking stream", s.st.k, n)
 		}
-		k := s.k
-		if s.kk != nil {
-			// Warm mode: the schedule already holds φ_kk and v_k; only
-			// the in-place φ update and the conditional mean remain.
-			updatePhiInPlace(s.phi, k, s.kk[k])
-			m := dotRevAdd(0, s.phi[1:k+1], s.x[:k])
-			s.x[k] = m + math.Sqrt(s.vs[k])*s.rng.NormFloat64()
-			dst[produced] = s.x[k]
-			produced++
-			s.k = k + 1
-			continue
-		}
-		// N_k and D_k (Eqs. 7–8); dotRevSub walks j = 1..k-1 in order.
-		nk := dotRevSub(s.rho[k], s.phiPrev[1:k], s.rho[1:k])
-		dk := s.dPrev - s.nPrev*s.nPrev/s.dPrev
-
-		phikk := nk / dk
-		s.phi[k] = phikk
-		for j := 1; j < k; j++ {
-			s.phi[j] = s.phiPrev[j] - phikk*s.phiPrev[k-j]
-		}
-
-		// Conditional mean and variance (Eqs. 11–12).
-		m := dotRevAdd(0, s.phi[1:k+1], s.x[:k])
-		s.v *= 1 - phikk*phikk
-		if s.v < 0 {
-			// Numerically impossible for valid ρ, but guard against
-			// catastrophic cancellation at extreme H.
-			s.v = 0
-		}
-		s.x[k] = m + math.Sqrt(s.v)*s.rng.NormFloat64()
-		dst[produced] = s.x[k]
-		produced++
-
-		copy(s.phiPrev[1:k+1], s.phi[1:k+1])
-		s.nPrev, s.dPrev = nk, dk
-		s.k = k + 1
+		dst[produced] = s.st.draw(s.rng)
 	}
 	obs.From(ctx).Count("fgn.hosking.stream.points", int64(produced))
 	return produced, nil

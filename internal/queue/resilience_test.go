@@ -21,7 +21,7 @@ func TestNewMuxSpacingBoundary(t *testing.T) {
 
 	// Exactly feasible: N·MinLag == len → the zero-slack equally-spaced
 	// placement must be accepted, not rejected.
-	m, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: n, MinLagFrames: l/n, Seed: 1})
+	m, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: n, MinLagFrames: l / n, Seed: 1})
 	if err != nil {
 		t.Fatalf("zero-slack placement rejected: %v", err)
 	}
@@ -47,18 +47,18 @@ func TestNewMuxSpacingBoundary(t *testing.T) {
 	}
 
 	// One frame of slack: still feasible.
-	if _, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: n, MinLagFrames: (l-1)/n, Seed: 1}); err != nil {
+	if _, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: n, MinLagFrames: (l - 1) / n, Seed: 1}); err != nil {
 		t.Errorf("near-tight placement rejected: %v", err)
 	}
 
 	// One frame too many: infeasible, and identified as such.
-	_, err = NewMuxFromConfig(MuxConfig{Trace: tr, N: n, MinLagFrames: l/n+1, Seed: 1})
+	_, err = NewMuxFromConfig(MuxConfig{Trace: tr, N: n, MinLagFrames: l/n + 1, Seed: 1})
 	if !errors.Is(err, errs.ErrInfeasibleLags) {
 		t.Errorf("over-tight placement: got %v, want ErrInfeasibleLags", err)
 	}
 
 	// N == 1 never has a spacing constraint.
-	if _, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: 1, MinLagFrames: l*10, Seed: 1}); err != nil {
+	if _, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: 1, MinLagFrames: l * 10, Seed: 1}); err != nil {
 		t.Errorf("single source with huge MinLag rejected: %v", err)
 	}
 }
@@ -409,7 +409,9 @@ func TestSMGCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pts, err := SMGCtx(ctx, SMGConfig{
-		NewMux:  func(n int) (Aggregator, error) { return NewMuxFromConfig(MuxConfig{Trace: tr, N: n, MinLagFrames: 100, Seed: 23}) },
+		NewMux: func(n int) (Aggregator, error) {
+			return NewMuxFromConfig(MuxConfig{Trace: tr, N: n, MinLagFrames: 100, Seed: 23})
+		},
 		Ns:      []int{1, 5},
 		Target:  LossTarget{Pl: 1e-3},
 		TmaxSec: 0.002,

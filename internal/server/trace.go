@@ -165,6 +165,7 @@ func (s *Server) parseZooSource(get func(string) string, spec string) (*source.B
 // flushed per block, so memory stays O(block) regardless of n, and a
 // slow or vanished client is detected through r.Context() —
 // generation stops instead of racing ahead of the socket.
+//
 //vbrlint:hotpath
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()

@@ -295,6 +295,7 @@ func (s *Stream) Probe() Probe { return s.mon.Probe() }
 // Gamma/Pareto marginal in place and folded into the monitor. The obs
 // scope on ctx receives per-block counters, the validation gauges
 // (stream.mean, stream.std, stream.hhat) and drift warnings.
+//
 //vbrlint:hotpath
 func (s *Stream) Next(ctx context.Context) ([]float64, error) {
 	n, err := s.gauss.Next(ctx, s.gbuf)
